@@ -11,9 +11,11 @@ performance model* of that device:
 - :mod:`repro.device.dispatch` -- :class:`DispatchStats` and the
   roofline-style combination of compute, bandwidth and latency terms
   into simulated seconds.
-- :mod:`repro.device.executor` -- :class:`SimulatedDevice`, which runs a
-  sequence of kernel dispatches (one per non-empty bin, as the paper's
-  framework does) and accounts launch overheads.
+- :mod:`repro.device.executor` -- :class:`BoundPlan`, a sequence of
+  kernel dispatches (one per non-empty bin, as the paper's framework
+  does) bound to one matrix structure, and :class:`SimulatedDevice`,
+  which runs it for one vector or a block of them and accounts launch
+  overheads.
 - :mod:`repro.device.cpu` -- a *real* multi-core CPU SpMV path
   (thread-pool, chunked, optionally nnz-balanced) for the "multi-core"
   half of the paper's title, measured with wall clocks rather than
@@ -29,7 +31,7 @@ from hardware measurements.
 
 from repro.device.cpu import CPUExecutor, PartitionStrategy
 from repro.device.dispatch import DispatchStats, dispatch_seconds
-from repro.device.executor import SimulatedDevice
+from repro.device.executor import BoundPlan, SimulatedDevice
 from repro.device.memory import gather_locality, gather_lines, stream_lines
 from repro.device.occupancy import workgroup_occupancy
 from repro.device.spec import DeviceSpec
@@ -39,6 +41,7 @@ __all__ = [
     "DispatchStats",
     "dispatch_seconds",
     "SimulatedDevice",
+    "BoundPlan",
     "gather_locality",
     "gather_lines",
     "stream_lines",

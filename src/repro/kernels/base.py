@@ -19,7 +19,7 @@ from repro.errors import KernelError, ShapeError
 from repro.formats.csr import CSRMatrix
 from repro.utils.primitives import exclusive_scan, segmented_sum
 
-__all__ = ["Kernel", "row_products", "row_products_batch", "pad_reshape"]
+__all__ = ["Kernel", "row_products", "pad_reshape"]
 
 #: Wavefront-instruction budget charged per row for prologue/epilogue
 #: (index load from the bin array, rowptr reads, result store).
@@ -29,54 +29,38 @@ WAVE_OVERHEAD_INSTR = 8.0
 
 
 def row_products(
-    matrix: CSRMatrix, v: np.ndarray, rows: np.ndarray
+    matrix: CSRMatrix, operand: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gathered per-element products for the selected rows.
 
-    Returns ``(products, offsets)`` where ``products`` concatenates
-    ``val[j] * v[colidx[j]]`` for each selected row in order and
-    ``offsets`` is the CSR-style boundary array (length ``len(rows)+1``).
+    ``operand`` is a vector of length ``ncols`` or an ``(ncols, k)``
+    block of right-hand sides.  Returns ``(products, offsets)`` where
+    ``products`` concatenates ``val[j] * operand[colidx[j]]`` for each
+    selected row in order -- shape ``(nnz,)`` or ``(nnz, k)`` -- and
+    ``offsets`` is the CSR-style boundary array (length
+    ``len(rows)+1``).  Column ``c`` of a block result equals the vector
+    result for ``operand[:, c]`` exactly, so batched execution reduces
+    all ``k`` columns in one pass without changing any floating-point
+    outcome.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (matrix.ncols,):
-        raise ShapeError(f"vector has shape {v.shape}, expected ({matrix.ncols},)")
-    rows = np.asarray(rows, dtype=np.int64)
-    lengths = matrix.row_lengths()[rows]
-    offsets = exclusive_scan(lengths)
-    nnz = int(offsets[-1])
-    if nnz == 0:
-        return np.zeros(0), offsets
-    within = np.arange(nnz) - np.repeat(offsets[:-1], lengths)
-    src = np.repeat(matrix.rowptr[rows], lengths) + within
-    return matrix.val[src] * v[matrix.colidx[src]], offsets
-
-
-def row_products_batch(
-    matrix: CSRMatrix, dense: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-RHS analogue of :func:`row_products`.
-
-    ``dense`` is an ``(ncols, k)`` block of right-hand sides.  Returns
-    ``(products, offsets)`` where ``products`` has shape ``(nnz, k)`` and
-    row ``j`` holds ``val[j] * dense[colidx[j], :]``.  Column ``c`` of
-    the result equals ``row_products(matrix, dense[:, c], rows)[0]``
-    exactly, so batched execution can reduce all ``k`` columns in one
-    pass without changing any floating-point outcome.
-    """
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != matrix.ncols:
+    operand = np.asarray(operand, dtype=np.float64)
+    if operand.ndim not in (1, 2) or operand.shape[0] != matrix.ncols:
         raise ShapeError(
-            f"operand has shape {dense.shape}, expected ({matrix.ncols}, k)"
+            f"operand has shape {operand.shape}, expected "
+            f"({matrix.ncols},) or ({matrix.ncols}, k)"
         )
     rows = np.asarray(rows, dtype=np.int64)
     lengths = matrix.row_lengths()[rows]
     offsets = exclusive_scan(lengths)
     nnz = int(offsets[-1])
     if nnz == 0:
-        return np.zeros((0, dense.shape[1])), offsets
+        return np.zeros((0,) + operand.shape[1:]), offsets
     within = np.arange(nnz) - np.repeat(offsets[:-1], lengths)
     src = np.repeat(matrix.rowptr[rows], lengths) + within
-    return matrix.val[src, None] * dense[matrix.colidx[src]], offsets
+    vals = matrix.val[src]
+    if operand.ndim == 2:
+        vals = vals[:, None]
+    return vals * operand[matrix.colidx[src]], offsets
 
 
 def pad_reshape(values: np.ndarray, width: int, fill=0) -> np.ndarray:

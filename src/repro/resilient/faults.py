@@ -12,7 +12,7 @@ makes those failures *manufacturable on demand and reproducible*:
   configurable rate, or from an explicit scripted sequence for
   deterministic unit tests;
 - :class:`ChaosDevice` wraps a :class:`SimulatedDevice` and applies the
-  schedule to every ``run_spmv`` / ``run_spmm``, counting each injection
+  schedule to every dispatch sequence it runs, counting each injection
   in the metrics registry (``chaos_faults_injected_total{kind=...}``).
 
 Fault *injection* lives here; fault *handling* (retries, breakers,
@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
+from repro.device.executor import SimulatedDevice
 from repro.errors import DeviceError, KernelError, TransientDeviceError
 
 __all__ = [
@@ -232,46 +232,15 @@ class ChaosDevice(SimulatedDevice):
         return poisoned.reshape(out.shape)
 
     # ------------------------------------------------------------------
-    def run_spmv(self, matrix, v, dispatches, **kwargs) -> SpMVResult:
-        kind = self._inject("spmv")
-        res = super().run_spmv(matrix, v, dispatches, **kwargs)
+    def _run_pass(self, bound, matrix, operand, extra_seconds):
+        """Every dispatch sequence, SpMV or SpMM, is one draw."""
+        kind = self._inject("spmm" if operand.ndim == 2 else "spmv")
+        res = super()._run_pass(bound, matrix, operand, extra_seconds)
         if kind in (FaultKind.NAN_POISON, FaultKind.INF_POISON):
-            return SpMVResult(
-                u=self._poison(res.u, kind),
-                seconds=res.seconds,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-            )
+            field = "U" if operand.ndim == 2 else "u"
+            return replace(res, **{field: self._poison(res.y, kind)})
         if kind is FaultKind.LATENCY_SPIKE:
-            return SpMVResult(
-                u=res.u,
-                seconds=res.seconds * self.latency_factor,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-            )
-        return res
-
-    def run_spmm(self, matrix, dense, dispatches, **kwargs) -> SpMMResult:
-        kind = self._inject("spmm")
-        res = super().run_spmm(matrix, dense, dispatches, **kwargs)
-        if kind in (FaultKind.NAN_POISON, FaultKind.INF_POISON):
-            return SpMMResult(
-                U=self._poison(res.U, kind),
-                seconds=res.seconds,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-                n_rhs=res.n_rhs,
-                n_passes=res.n_passes,
-            )
-        if kind is FaultKind.LATENCY_SPIKE:
-            return SpMMResult(
-                U=res.U,
-                seconds=res.seconds * self.latency_factor,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-                n_rhs=res.n_rhs,
-                n_passes=res.n_passes,
-            )
+            return replace(res, seconds=res.seconds * self.latency_factor)
         return res
 
 

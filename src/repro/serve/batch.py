@@ -7,9 +7,9 @@ per-launch overheads amortise over ``k`` columns.  This module runs one
 :class:`~repro.core.plan.ExecutionPlan` against an ``(ncols, k)`` block
 on either backend:
 
-- the :class:`~repro.device.executor.SimulatedDevice`, via
-  :meth:`~repro.device.executor.SimulatedDevice.run_spmm` (plan charged
-  once, bandwidth terms scaled by ``k``);
+- the :class:`~repro.device.executor.SimulatedDevice`, via a
+  :class:`~repro.device.executor.BoundPlan` (plan charged once,
+  bandwidth terms scaled by ``k``);
 - the real :class:`~repro.device.cpu.CPUExecutor`, via its
   gather + ``reduceat`` SpMM path (wall-clock measured).
 
@@ -22,13 +22,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.plan import ExecutionPlan
 from repro.device.cpu import CPUExecutor, PartitionStrategy
-from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
+from repro.device.executor import (
+    BoundPlan,
+    SimulatedDevice,
+    SpMMResult,
+    SpMVResult,
+    iter_column_blocks,
+)
 from repro.formats.csr import CSRMatrix
 from repro.utils.validation import check_spmm_operand
 
@@ -67,48 +73,15 @@ def run_plan_spmm(
     inspected once however wide the batch is.  Kernel launches are paid
     once per *pass*: without ``max_rhs`` (or when ``k <= max_rhs``) the
     whole block is one pass and launches amortise fully; with a cap the
-    block is split into column blocks, and every block is physically a
-    separate dispatch sequence that re-pays the plan's launches.  That
-    per-pass charge is deliberate -- a capped-width device cannot launch
-    one kernel over columns it never holds -- and is surfaced as
-    ``SpMMResult.n_passes``.
+    block is split into column blocks, each re-paying the plan's
+    launches (see :meth:`~repro.device.executor.BoundPlan.run`), and
+    the pass count is surfaced as ``SpMMResult.n_passes``.
     """
     dense = check_spmm_operand(matrix.ncols, dense)
     overhead = plan.scheme.overhead_seconds(matrix, device.spec)
-    k = dense.shape[1]
-    if max_rhs is None or k <= max_rhs:
-        return device.run_spmm(matrix, dense, plan.dispatches(),
-                               extra_seconds=overhead)
-    if max_rhs <= 0:
-        raise ValueError(f"max_rhs must be > 0, got {max_rhs}")
-    U = np.zeros((matrix.nrows, k))
-    seconds = overhead
-    dispatch_times: list[float] = []
-    launch_s = 0.0
-    n_passes = 0
-    for lo, hi in iter_column_blocks(k, max_rhs):
-        res = device.run_spmm(matrix, dense[:, lo:hi], plan.dispatches())
-        U[:, lo:hi] = res.U
-        seconds += res.seconds
-        dispatch_times.extend(res.dispatch_seconds)
-        launch_s += res.launch_seconds
-        n_passes += 1
-    return SpMMResult(
-        U=U,
-        seconds=float(seconds),
-        dispatch_seconds=tuple(dispatch_times),
-        launch_seconds=launch_s,
-        n_rhs=k,
-        n_passes=n_passes,
-    )
-
-
-def iter_column_blocks(k: int, width: int) -> Iterator[tuple[int, int]]:
-    """Yield ``[lo, hi)`` column ranges of at most ``width`` columns."""
-    if width <= 0:
-        raise ValueError(f"width must be > 0, got {width}")
-    for lo in range(0, k, width):
-        yield lo, min(lo + width, k)
+    return BoundPlan(
+        device, matrix, plan.dispatches(), extra_seconds=overhead
+    ).run(matrix, dense, max_rhs)
 
 
 @dataclass(frozen=True)

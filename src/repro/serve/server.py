@@ -56,8 +56,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.binning.single import SingleBinning
-from repro.core.plan import ExecutionPlan
-from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
+from repro.core.plan import ExecutionPlan, fallback_plan
+from repro.device.executor import SimulatedDevice
 from repro.errors import DeviceError
 from repro.formats.csr import CSRMatrix
 from repro.observe.registry import MetricsRegistry, get_registry
@@ -101,6 +101,18 @@ __all__ = ["SpMVServer", "ServerStats", "SubmitResult", "heuristic_planner"]
 
 #: Signature of anything that can produce a plan for a new matrix.
 Planner = Callable[[CSRMatrix], ExecutionPlan]
+
+
+def _run_plan(device: SimulatedDevice, matrix: CSRMatrix, rhs: np.ndarray,
+              plan: ExecutionPlan, max_rhs: Optional[int]):
+    """``run_plan_spmm`` for a block, ``run_plan_spmv`` for a vector.
+
+    Looked up through this module's names, so a tracer that wraps them
+    here (the benchmark's traced run does) sees every execution.
+    """
+    if rhs.ndim == 2:
+        return run_plan_spmm(device, matrix, rhs, plan, max_rhs=max_rhs)
+    return run_plan_spmv(device, matrix, rhs, plan)
 
 
 def heuristic_planner(matrix: CSRMatrix) -> ExecutionPlan:
@@ -680,17 +692,6 @@ class SpMVServer:
         return check_spmv_operand(matrix.ncols, rhs)
 
     # -- graceful degradation --------------------------------------------
-    @staticmethod
-    def _fallback_plan(matrix: CSRMatrix) -> ExecutionPlan:
-        """The always-correct degraded plan: one bin, serial kernel."""
-        binning = SingleBinning().bin_rows(matrix)
-        return ExecutionPlan(
-            scheme=SingleBinning(),
-            binning=binning,
-            bin_kernels={b: "serial" for b, _ in binning.non_empty()},
-            source="fallback",
-        )
-
     def _degrade_plan(self, fp: MatrixFingerprint, cause: str) -> None:
         """Drop the failing cached plan and record the downgrade."""
         invalidated = self.cache.invalidate(fp)
@@ -703,7 +704,7 @@ class SpMVServer:
 
     # -- sharded / coalesced routing -------------------------------------
     def _sharded_submit(
-        self, matrix: CSRMatrix, rhs: np.ndarray, *, batch: bool
+        self, matrix: CSRMatrix, rhs: np.ndarray
     ) -> SubmitResult:
         """Serve one request through the sharded executor."""
         with span("serve.fingerprint", self.registry) as sp_fp:
@@ -712,14 +713,14 @@ class SpMVServer:
             self._stage_seconds["fingerprint"] += sp_fp.seconds
         self._m_stage["fingerprint"].observe(sp_fp.seconds)
         with span("serve.execute", self.registry) as sp:
-            if batch:
+            if rhs.ndim == 2:
                 res = self._sharded.run_spmm(matrix, rhs,
                                              max_rhs=self.max_rhs,
                                              fingerprint=fp)
             else:
                 res = self._sharded.run_spmv(matrix, rhs, fingerprint=fp)
         self._account(sp.seconds, res.seconds, res.n_dispatches,
-                      n_rhs=res.n_rhs, batch=batch)
+                      n_rhs=res.n_rhs, batch=rhs.ndim == 2)
         return SubmitResult(
             y=res.y,
             seconds=res.seconds,
@@ -982,58 +983,57 @@ class SpMVServer:
     ) -> SubmitResult:
         if self._scheduler is not None:
             return self._coalesced_submit(matrix, x, tenant)
-        x = self._validate_rhs(matrix, x, batch=False)
+        return self._serve(
+            matrix, self._validate_rhs(matrix, x, batch=False), no_explore
+        )
+
+    def _serve(
+        self, matrix: CSRMatrix, rhs: np.ndarray, no_explore: bool
+    ) -> SubmitResult:
+        """Decide an arm (when learning), then execute one validated
+        vector or block."""
         if self._selector is not None:
             return self._learned_request(
-                matrix, no_explore, lambda: self._serve_spmv(matrix, x)
+                matrix, no_explore, lambda: self._execute(matrix, rhs)
             )
-        return self._serve_spmv(matrix, x)
+        return self._execute(matrix, rhs)
 
-    def _serve_spmv(self, matrix: CSRMatrix, x: np.ndarray) -> SubmitResult:
-        """The single-RHS execution body (post-validation, post-decide)."""
+    def _execute(self, matrix: CSRMatrix, rhs: np.ndarray) -> SubmitResult:
+        """The execution body of every request, SpMV being ``k = 1``."""
         if self._sharded is not None:
-            return self._sharded_submit(matrix, x, batch=False)
+            return self._sharded_submit(matrix, rhs)
         plan, fp, hit = self._plan_for(matrix)
-        if self._resilient is None:
-            with span("serve.execute", self.registry) as sp:
-                res: SpMVResult = run_plan_spmv(self.device, matrix, x, plan)
-            self._account(sp.seconds, res.seconds, res.n_dispatches,
-                          n_rhs=1, batch=False)
-            return SubmitResult(
-                y=res.u,
-                seconds=res.seconds,
-                n_dispatches=res.n_dispatches,
-                cache_hit=hit,
-                fingerprint=fp,
-                plan=plan,
-            )
-        fb: Dict[str, ExecutionPlan] = {}  # built only if degradation hits
-
-        def _fallback() -> SpMVResult:
-            fb["plan"] = self._fallback_plan(matrix)
-            return run_plan_spmv(
-                unwrap_device(self.device), matrix, x, fb["plan"]
-            )
-
+        served, attempts, degraded = plan, 1, False
         with span("serve.execute", self.registry) as sp:
-            res, outcome = self._resilient.execute(
-                fp,
-                lambda: run_plan_spmv(self.device, matrix, x, plan),
-                fallback=_fallback,
-                validate=lambda r: bool(np.isfinite(r.u).all()),
-                on_degrade=lambda cause: self._degrade_plan(fp, cause),
-            )
+            if self._resilient is None:
+                res = _run_plan(self.device, matrix, rhs, plan, self.max_rhs)
+            else:
+                def _fallback():  # only runs when the request degrades
+                    nonlocal served
+                    served = fallback_plan(matrix)
+                    return _run_plan(unwrap_device(self.device), matrix,
+                                     rhs, served, self.max_rhs)
+
+                res, outcome = self._resilient.execute(
+                    fp,
+                    lambda: _run_plan(self.device, matrix, rhs, plan,
+                                      self.max_rhs),
+                    fallback=_fallback,
+                    validate=lambda r: bool(np.isfinite(r.y).all()),
+                    on_degrade=lambda cause: self._degrade_plan(fp, cause),
+                )
+                attempts, degraded = outcome.attempts, outcome.degraded
         self._account(sp.seconds, res.seconds, res.n_dispatches,
-                      n_rhs=1, batch=False)
+                      n_rhs=res.n_rhs, batch=rhs.ndim == 2)
         return SubmitResult(
-            y=res.u,
+            y=res.y,
             seconds=res.seconds,
             n_dispatches=res.n_dispatches,
             cache_hit=hit,
             fingerprint=fp,
-            plan=fb["plan"] if outcome.degraded else plan,
-            attempts=outcome.attempts,
-            degraded=outcome.degraded,
+            plan=served,
+            attempts=attempts,
+            degraded=degraded,
         )
 
     def submit_batch(
@@ -1076,63 +1076,8 @@ class SpMVServer:
         this during :meth:`close` -- after ``_closed`` is already set,
         which is exactly why the public wrapper owns the check.
         """
-        X = self._validate_rhs(matrix, X, batch=True)
-        if self._selector is not None:
-            return self._learned_request(
-                matrix, no_explore, lambda: self._serve_spmm(matrix, X)
-            )
-        return self._serve_spmm(matrix, X)
-
-    def _serve_spmm(self, matrix: CSRMatrix, X: np.ndarray) -> SubmitResult:
-        """The multi-RHS execution body (post-validation, post-decide)."""
-        if self._sharded is not None:
-            return self._sharded_submit(matrix, X, batch=True)
-        plan, fp, hit = self._plan_for(matrix)
-        if self._resilient is None:
-            with span("serve.execute", self.registry) as sp:
-                res: SpMMResult = run_plan_spmm(
-                    self.device, matrix, X, plan, max_rhs=self.max_rhs
-                )
-            self._account(sp.seconds, res.seconds, res.n_dispatches,
-                          n_rhs=res.n_rhs, batch=True)
-            return SubmitResult(
-                y=res.U,
-                seconds=res.seconds,
-                n_dispatches=res.n_dispatches,
-                cache_hit=hit,
-                fingerprint=fp,
-                plan=plan,
-            )
-        fb: Dict[str, ExecutionPlan] = {}  # built only if degradation hits
-
-        def _fallback() -> SpMMResult:
-            fb["plan"] = self._fallback_plan(matrix)
-            return run_plan_spmm(
-                unwrap_device(self.device), matrix, X, fb["plan"],
-                max_rhs=self.max_rhs,
-            )
-
-        with span("serve.execute", self.registry) as sp:
-            res, outcome = self._resilient.execute(
-                fp,
-                lambda: run_plan_spmm(
-                    self.device, matrix, X, plan, max_rhs=self.max_rhs
-                ),
-                fallback=_fallback,
-                validate=lambda r: bool(np.isfinite(r.U).all()),
-                on_degrade=lambda cause: self._degrade_plan(fp, cause),
-            )
-        self._account(sp.seconds, res.seconds, res.n_dispatches,
-                      n_rhs=res.n_rhs, batch=True)
-        return SubmitResult(
-            y=res.U,
-            seconds=res.seconds,
-            n_dispatches=res.n_dispatches,
-            cache_hit=hit,
-            fingerprint=fp,
-            plan=fb["plan"] if outcome.degraded else plan,
-            attempts=outcome.attempts,
-            degraded=outcome.degraded,
+        return self._serve(
+            matrix, self._validate_rhs(matrix, X, batch=True), no_explore
         )
 
     def _account(

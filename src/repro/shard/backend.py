@@ -32,11 +32,13 @@ rebuilds transparently:
 - an *attachment* cache (segment name -> read-only NumPy views over the
   shared buffer); mutation of a mapped block raises in the worker and
   the parent's data is untouched;
-- a *bound plan* cache (``(segment, shard_id)`` -> precomputed dispatch
-  rows, gather locality, per-dispatch simulated seconds, launch and
-  binning overhead).  After warm-up a request costs the worker only
-  ``kernel.compute`` per dispatch -- fingerprinting, cost modelling and
-  coverage checks are all paid once at bind time.
+- a *bound plan* cache (``(segment, shard_id, generation)`` -> the
+  shard's sub-CSR view and its :class:`~repro.device.executor.BoundPlan`,
+  the same bound plan every simulated device runs).  After warm-up a
+  request costs the worker one gather + ``reduceat`` per dispatch --
+  fingerprinting, cost modelling and coverage checks are all paid once
+  at bind time, and results *and* simulated seconds are the inline
+  path's by construction.
 
 Values are refreshed into the segment by the parent on *every* lease
 (an ``nnz``-sized memcpy): solver traffic re-submits one structure with
@@ -89,19 +91,16 @@ import numpy as np
 
 from repro.binning.base import BinningScheme
 from repro.core.plan import ExecutionPlan
-from repro.device.executor import SimulatedDevice
-from repro.device.memory import effective_gather_locality
+from repro.device.executor import BoundPlan, SimulatedDevice
 from repro.device.spec import DeviceSpec
 from repro.errors import DeviceError, TransientDeviceError
 from repro.formats.csr import CSRMatrix
-from repro.kernels.base import row_products_batch
 from repro.observe.registry import (
     NULL_REGISTRY,
     MetricsRegistry,
     get_registry,
 )
-from repro.shard.partition import ShardDescriptor
-from repro.utils.primitives import segmented_sum_2d
+from repro.shard.partition import ShardDescriptor, extract_row_block
 
 __all__ = [
     "ExecutionBackend",
@@ -355,7 +354,7 @@ class ShardTaskSpec:
     #: caches key on it: when the parent invalidates a matrix (device
     #: change, degraded plan, planner swap) it bumps the generation, so
     #: the next dispatch *rebinds* against the fresh plan instead of
-    #: silently reusing a stale ``_BoundShardPlan``.
+    #: silently reusing a stale bound plan.
     generation: int = 0
     #: Trace identity propagated across the process boundary; echoed
     #: back in the :class:`ShardRunReport` and used by the parent to
@@ -403,8 +402,8 @@ class ShardRunReport:
 
 #: segment name -> (SharedMemory, rowptr, colidx, val) read-only views.
 _ATTACHED: "OrderedDict[str, tuple]" = OrderedDict()
-#: (segment name, shard_id) -> bound plan with precomputed costs.
-_BOUND: "OrderedDict[Tuple[str, int], _BoundShardPlan]" = OrderedDict()
+#: (segment name, shard_id, generation) -> (shard sub-CSR view, bound plan).
+_BOUND: "OrderedDict[tuple, Tuple[CSRMatrix, BoundPlan]]" = OrderedDict()
 #: blob key -> unpickled spec group (skips ``pickle.loads`` of scheme
 #: objects on every warm request; the parent caches the ``dumps`` side).
 _SPEC_GROUPS: "OrderedDict[tuple, Tuple[ShardTaskSpec, ...]]" = OrderedDict()
@@ -465,140 +464,45 @@ def _worker_attach(handle: SharedMatrixHandle):
     return entry
 
 
-class _BoundShardPlan:
-    """One shard's plan bound to shared memory, costs precomputed.
-
-    Binding pays everything that does not depend on the right-hand
-    side: sub-CSR construction (views into the shared segment -- the
-    ``colidx``/``val`` slices stay read-only and zero-copy), binning
-    rebuild, coverage check, gather locality, per-dispatch simulated
-    seconds, launch and binning overhead.  A warm request then runs
-    ``kernel.compute`` per dispatch and nothing else; the accounting
-    formulas mirror ``SimulatedDevice.run_spmv``/``run_spmm`` +
-    ``run_plan_*`` term for term, so results *and* simulated seconds
-    are identical to the inline path.
-    """
-
-    __slots__ = (
-        "matrix", "device", "overhead", "launch_per", "dispatches",
-        "spmv_times", "spmv_seconds", "_spmm_times",
-    )
-
-    def __init__(self, handle: SharedMatrixHandle, spec: ShardTaskSpec,
-                 device_spec: DeviceSpec):
-        _shm, rowptr, colidx, val = _worker_attach(handle)
-        lo, hi = spec.row_lo, spec.row_hi
-        start, end = int(rowptr[lo]), int(rowptr[hi])
-        # Rebased rowptr is a fresh small array; colidx/val stay
-        # read-only zero-copy views into the shared segment.
-        self.matrix = CSRMatrix(
-            rowptr[lo : hi + 1] - start,
-            colidx[start:end],
-            val[start:end],
-            (hi - lo, handle.shape[1]),
-        )
-        self.device = SimulatedDevice(
-            spec=device_spec, registry=NULL_REGISTRY
-        )
-        plan = ExecutionPlan(
-            scheme=spec.scheme,
-            binning=spec.scheme.bin_rows(self.matrix),
-            bin_kernels=dict(spec.bin_kernels),
-            source="backend",
-        )
-        raw = plan.dispatches()
-        SimulatedDevice._check_coverage(self.matrix, raw)
-        lengths = self.matrix.row_lengths()
-        g = effective_gather_locality(self.matrix, device_spec)
-        self.dispatches = tuple(
-            (kernel, np.asarray(rows, dtype=np.int64), lengths[rows], g)
-            for kernel, rows in raw if len(rows)
-        )
-        self.overhead = spec.scheme.overhead_seconds(
-            self.matrix, device_spec
-        )
-        self.launch_per = device_spec.seconds(
-            device_spec.kernel_launch_cycles
-        )
-        self.spmv_times = tuple(
-            self.device.time_dispatch(k, lens, g, include_launch=False)
-            for k, _rows, lens, g in self.dispatches
-        )
-        self.spmv_seconds = float(
-            sum(self.spmv_times)
-            + len(self.spmv_times) * self.launch_per
-            + self.overhead
-        )
-        self._spmm_times: Dict[int, Tuple[float, ...]] = {}
-
-    def _times_for_k(self, k: int) -> Tuple[float, ...]:
-        times = self._spmm_times.get(k)
-        if times is None:
-            times = tuple(
-                self.device.time_dispatch(
-                    kernel, lens, g, include_launch=False, n_rhs=k
-                )
-                for kernel, _rows, lens, g in self.dispatches
-            )
-            self._spmm_times[k] = times
-        return times
-
-    def run_spmv(self, x: np.ndarray):
-        u = np.zeros(self.matrix.nrows)
-        for kernel, rows, _lens, _g in self.dispatches:
-            u[rows] = kernel.compute(self.matrix, x, rows)
-        launch_s = len(self.dispatches) * self.launch_per
-        return u, self.spmv_seconds, self.spmv_times, launch_s, 1
-
-    def _spmm_pass(self, U: np.ndarray, X: np.ndarray, lo: int, hi: int):
-        """One column-block pass; mirrors ``SimulatedDevice.run_spmm``."""
-        block = X[:, lo:hi]
-        for _kernel, rows, _lens, _g in self.dispatches:
-            products, offsets = row_products_batch(
-                self.matrix, block, rows
-            )
-            U[rows, lo:hi] = segmented_sum_2d(products, offsets)
-        times = self._times_for_k(hi - lo)
-        launch_s = len(self.dispatches) * self.launch_per
-        return times, launch_s
-
-    def run_spmm(self, X: np.ndarray, max_rhs: Optional[int]):
-        k = X.shape[1]
-        U = np.zeros((self.matrix.nrows, k))
-        if max_rhs is None or k <= max_rhs:
-            times, launch_s = self._spmm_pass(U, X, 0, k)
-            seconds = float(sum(times) + launch_s + self.overhead)
-            return U, seconds, times, launch_s, 1
-        seconds = self.overhead
-        all_times: List[float] = []
-        launch_total = 0.0
-        n_passes = 0
-        for lo in range(0, k, max_rhs):
-            hi = min(lo + max_rhs, k)
-            times, launch_s = self._spmm_pass(U, X, lo, hi)
-            seconds += float(sum(times) + launch_s)
-            all_times.extend(times)
-            launch_total += launch_s
-            n_passes += 1
-        return U, float(seconds), tuple(all_times), launch_total, n_passes
-
-
 def _worker_bound(handle: SharedMatrixHandle, spec: ShardTaskSpec,
-                  device_spec: DeviceSpec) -> _BoundShardPlan:
+                  device_spec: DeviceSpec) -> Tuple[CSRMatrix, BoundPlan]:
+    """The shard's sub-CSR view and bound plan, cached per generation.
+
+    Binding rebuilds the shard's binning from the spec's scheme (a pure
+    function of structure) over a row block of the shared segment --
+    the ``colidx``/``val`` slices stay read-only zero-copy views, so a
+    cached plan always computes with the values the parent refreshed
+    for this lease.
+    """
     # Generation is part of the key on purpose: a parent-side
     # invalidation bumps it, which makes every stale bound plan for the
     # digest unreachable (LRU eviction reclaims them) and forces a
     # rebind against the spec's *current* scheme + kernel map.
     key = (handle.segment, spec.shard_id, spec.generation)
-    bound = _BOUND.get(key)
-    if bound is None:
-        bound = _BoundShardPlan(handle, spec, device_spec)
-        _BOUND[key] = bound
-        while len(_BOUND) > _MAX_BOUND:
-            _BOUND.popitem(last=False)
-    else:
+    entry = _BOUND.get(key)
+    if entry is not None:
         _BOUND.move_to_end(key)
-    return bound
+        return entry
+    _shm, rowptr, colidx, val = _worker_attach(handle)
+    matrix = extract_row_block(
+        CSRMatrix(rowptr, colidx, val, handle.shape),
+        spec.row_lo, spec.row_hi,
+    )
+    plan = ExecutionPlan(
+        scheme=spec.scheme,
+        binning=spec.scheme.bin_rows(matrix),
+        bin_kernels=dict(spec.bin_kernels),
+        source="backend",
+    )
+    entry = (matrix, BoundPlan(
+        SimulatedDevice(spec=device_spec, registry=NULL_REGISTRY),
+        matrix, plan.dispatches(),
+        extra_seconds=spec.scheme.overhead_seconds(matrix, device_spec),
+    ))
+    _BOUND[key] = entry
+    while len(_BOUND) > _MAX_BOUND:
+        _BOUND.popitem(last=False)
+    return entry
 
 
 def _worker_run(
@@ -606,7 +510,6 @@ def _worker_run(
     device_spec: DeviceSpec,
     specs: Optional[Tuple[ShardTaskSpec, ...]],
     rhs: np.ndarray,
-    batch: bool,
     max_rhs: Optional[int],
     blob: Optional[bytes] = None,
     blob_key: Optional[tuple] = None,
@@ -624,28 +527,23 @@ def _worker_run(
         specs = _cached_specs(blob_key, blob)
     reports: List[ShardRunReport] = []
     for spec in specs:
-        bound = _worker_bound(handle, spec, device_spec)
+        matrix, bound = _worker_bound(handle, spec, device_spec)
         if spec.kill:
             # Chaos hook: die the way a segfaulting worker would --
             # no exception, no cleanup, the pool just breaks.
             os._exit(23)
         w0 = perf_counter()
-        if batch:
-            y, seconds, times, launch_s, n_passes = bound.run_spmm(
-                rhs, max_rhs
-            )
-        else:
-            y, seconds, times, launch_s, n_passes = bound.run_spmv(rhs)
+        res = bound.run(matrix, rhs, max_rhs)
         w1 = perf_counter()
         reports.append(ShardRunReport(
             shard_id=spec.shard_id,
             row_lo=spec.row_lo,
             row_hi=spec.row_hi,
-            y=y,
-            seconds=seconds,
-            dispatch_seconds=times,
-            launch_seconds=launch_s,
-            n_passes=n_passes,
+            y=res.y,
+            seconds=res.seconds,
+            dispatch_seconds=res.dispatch_seconds,
+            launch_seconds=res.launch_seconds,
+            n_passes=res.n_passes,
             wall_start=w0,
             wall_end=w1,
             pid=os.getpid(),
@@ -732,6 +630,14 @@ def _preferred_mp_context():
     if "fork" in mp.get_all_start_methods():
         return mp.get_context("fork")
     return mp.get_context()
+
+
+def _check_rank(rhs: np.ndarray, batch: bool) -> None:
+    """Reject a ``batch`` flag that contradicts the operand's rank."""
+    if batch != (rhs.ndim == 2):
+        raise ValueError(
+            f"batch={batch} does not match a {rhs.ndim}-D operand"
+        )
 
 
 def _chunk(specs: List[ShardTaskSpec], n_groups: int):
@@ -874,7 +780,7 @@ class ProcessShardBackend:
 
         The bump is what reaches the workers: the next dispatch's specs
         (and rebuilt blobs) carry the new generation, which misses every
-        worker-side ``_BoundShardPlan`` and spec-group cache entry keyed
+        worker-side bound plan and spec-group cache entry keyed
         under the old one -- the shard plans rebind against whatever the
         parent re-plans, instead of silently serving stale plans.
         """
@@ -971,8 +877,11 @@ class ProcessShardBackend:
         (one pickle round trip each).  A worker death breaks the whole
         pool, so the crash path is all-or-nothing: the pool restarts
         and the caller (the sharded executor) re-drives each shard
-        through the resilience path.
+        through the resilience path.  ``batch`` must state the rank of
+        ``rhs`` (a 2-D block is SpMM); the workers run either through
+        one bound-plan body.
         """
+        _check_rank(rhs, batch)
         with self._lock:
             seq = self._seq
             self._seq += 1
@@ -990,7 +899,7 @@ class ProcessShardBackend:
                 futures = [
                     pool.submit(
                         _worker_run, handle, self.device_spec, group,
-                        rhs, batch, max_rhs,
+                        rhs, max_rhs,
                     )
                     for group in _chunk(specs, self.n_workers)
                 ]
@@ -998,7 +907,7 @@ class ProcessShardBackend:
                 futures = [
                     pool.submit(
                         _worker_run, handle, self.device_spec, None,
-                        rhs, batch, max_rhs, blob, blob_key,
+                        rhs, max_rhs, blob, blob_key,
                         trace_id, parent_span_id,
                     )
                     for blob_key, blob in self._group_blobs(
@@ -1024,12 +933,13 @@ class ProcessShardBackend:
         trace_ref: Tuple[Optional[str], Optional[str]] = (None, None),
     ) -> ShardRunReport:
         """Retry one shard remotely (the resilience path's attempt)."""
+        _check_rank(rhs, batch)
         specs = self._specs(digest, [descriptor], [plan], trace_ref)
         pool = self._ensure_pool()
         with self.store.lease(digest, matrix) as handle:
             future = pool.submit(
                 _worker_run, handle, self.device_spec, tuple(specs),
-                rhs, batch, max_rhs,
+                rhs, max_rhs,
             )
             try:
                 return future.result()[0]

@@ -32,13 +32,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.binning.single import SingleBinning
-from repro.core.plan import ExecutionPlan
-from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
+from repro.core.plan import ExecutionPlan, fallback_plan
+from repro.device.executor import SimulatedDevice
 from repro.errors import DeviceError
 from repro.formats.csr import CSRMatrix
 from repro.observe.registry import MetricsRegistry, get_registry
@@ -62,7 +61,6 @@ from repro.shard.backend import (
 )
 from repro.shard.partition import (
     PartitionStrategy,
-    Shard,
     ShardDescriptor,
     extract_row_block,
     make_shards,
@@ -77,7 +75,7 @@ __all__ = [
     "ShardedExecutor",
 ]
 
-#: Bound on cached (descriptors, plans) shard sets (process backend).
+#: Bound on cached (descriptors, shard fingerprints) shard sets.
 _SHARD_SET_CAPACITY = 32
 
 #: Signature of anything that can produce a plan for one shard matrix.
@@ -228,16 +226,6 @@ class ShardExecutorStats:
 
 
 @dataclass(frozen=True)
-class _ShardOutcome:
-    """One shard's contribution, as produced by a worker thread."""
-
-    shard: Shard
-    result: Union[SpMVResult, SpMMResult]
-    attempts: int
-    degraded: bool
-
-
-@dataclass(frozen=True)
 class _ShardContribution:
     """Backend-neutral per-shard outcome (what the gather consumes)."""
 
@@ -247,6 +235,31 @@ class _ShardContribution:
     n_dispatches: int
     attempts: int
     degraded: bool
+
+    @classmethod
+    def of(cls, descriptor: ShardDescriptor, result, attempts: int = 1,
+           degraded: bool = False) -> "_ShardContribution":
+        """From any result with ``y``/``seconds``/``n_dispatches``: a
+        device result or a worker's :class:`ShardRunReport`."""
+        return cls(descriptor, result.y, result.seconds,
+                   result.n_dispatches, attempts, degraded)
+
+
+def _run_plan(device: SimulatedDevice, matrix: CSRMatrix, rhs: np.ndarray,
+              plan: ExecutionPlan, max_rhs: Optional[int]):
+    """``run_plan_spmm`` for a block, ``run_plan_spmv`` for a vector.
+
+    Looked up through this module's names, so a tracer that wraps them
+    here (the benchmark's traced run does) sees every execution.
+    """
+    if rhs.ndim == 2:
+        return run_plan_spmm(device, matrix, rhs, plan, max_rhs=max_rhs)
+    return run_plan_spmv(device, matrix, rhs, plan)
+
+
+def _finite(result) -> bool:
+    """Resilience validator: no NaN/Inf in the shard's output."""
+    return bool(np.isfinite(result.y).all())
 
 
 class ShardedExecutor:
@@ -318,16 +331,13 @@ class ShardedExecutor:
                 policy.max_workers or policy.n_shards
             )
         self._fingerprints = FingerprintCache()
-        # Process backend only: (descriptors, plans) per structural
-        # digest, so a warm request skips partitioning and per-shard
-        # hashing entirely.  Descriptors carry no arrays -- the current
-        # request's values always come from the shared segment (or the
-        # current matrix, on the degraded parent-side path).
+        # Parent digest -> (descriptors, shard fingerprints), so a warm
+        # request skips partitioning and per-shard hashing, and
+        # invalidate(digest) can drop exactly the matching shard plans.
+        # Descriptors carry no arrays -- the current request's values
+        # always come from row-block views of the current matrix (or
+        # the shared segment, on the process backend).
         self._shard_sets: "OrderedDict[str, tuple]" = OrderedDict()
-        # All backends: parent digest -> the per-shard plan-cache keys
-        # its last run used, so invalidate(digest) can surgically drop
-        # the matching shard plans without re-partitioning the matrix.
-        self._shard_fps: "OrderedDict[str, tuple]" = OrderedDict()
         self._closed = False
         self._lock = threading.Lock()
         self._executions = 0
@@ -404,65 +414,82 @@ class ShardedExecutor:
                 "ShardedExecutor used after close(); create a new instance"
             )
 
-    # -- planning --------------------------------------------------------
+    # -- partitioning + planning -----------------------------------------
+    def _partition(
+        self, matrix: CSRMatrix, digest: str
+    ) -> Tuple[Tuple[ShardDescriptor, ...], Tuple[MatrixFingerprint, ...]]:
+        """Shard descriptors and per-shard fingerprints, cached per digest.
+
+        Both depend on the structure alone, so only the first request
+        for a structure (or the first after :meth:`invalidate`) pays
+        the partition and the shard hashes; warm requests of every
+        backend take row-block views of the current matrix instead.
+        The fingerprints key the per-shard plan cache and breakers.
+        """
+        with self._lock:
+            cached = self._shard_sets.get(digest)
+            if cached is not None:
+                self._shard_sets.move_to_end(digest)
+                return cached
+        with span("shard.partition", self.registry):
+            shards = make_shards(
+                matrix, self.policy.n_shards, self.policy.strategy,
+                with_features=False,
+            )
+            entry = (
+                tuple(s.descriptor for s in shards),
+                tuple(fingerprint_matrix(s.matrix) for s in shards),
+            )
+        with self._lock:
+            self._shard_sets[digest] = entry
+            while len(self._shard_sets) > _SHARD_SET_CAPACITY:
+                self._shard_sets.popitem(last=False)
+        return entry
+
     def _plan_shards(
-        self, shards: List[Shard]
-    ) -> Tuple[List[ExecutionPlan], List[MatrixFingerprint], bool]:
+        self,
+        matrix: CSRMatrix,
+        descriptors: Sequence[ShardDescriptor],
+        fps: Sequence[MatrixFingerprint],
+    ) -> Tuple[List[ExecutionPlan], bool]:
         """Plan every shard through the per-shard cache.
 
-        Returns ``(plans, shard_fps, all_hit)``; ``all_hit`` is True
-        when no shard needed a fresh planner run (repeated traffic for
-        one parent pattern hits K cached shard plans).  The shard
-        fingerprints are what :meth:`invalidate` needs later to drop
-        exactly this parent's per-shard plan-cache entries.
+        Returns ``(plans, all_hit)``; ``all_hit`` is True when no shard
+        needed a fresh planner run.  A miss plans the shard's row block
+        as a matrix in its own right.
         """
         plans: List[ExecutionPlan] = []
-        fps: List[MatrixFingerprint] = []
         all_hit = True
-        for shard in shards:
-            fp = fingerprint_matrix(shard.matrix)
-            plan, hit = self.cache.get_or_build(
-                fp, lambda s=shard: self._planner(s.matrix)
-            )
-            plans.append(plan)
-            fps.append(fp)
-            all_hit &= hit
-        return plans, fps, all_hit
+        with span("shard.plan", self.registry):
+            for d, fp in zip(descriptors, fps):
+                plan, hit = self.cache.get_or_build(
+                    fp, lambda d=d: self._planner(
+                        extract_row_block(matrix, d.row_lo, d.row_hi)
+                    )
+                )
+                plans.append(plan)
+                all_hit &= hit
+        return plans, all_hit
 
-    def _record_shard_fps(
-        self, digest: str, fps: Sequence[MatrixFingerprint]
-    ) -> None:
-        """Remember which per-shard plan-cache keys a parent digest maps
-        to, so :meth:`invalidate` can drop them without re-partitioning."""
-        with self._lock:
-            self._shard_fps[digest] = tuple(fps)
-            while len(self._shard_fps) > _SHARD_SET_CAPACITY:
-                self._shard_fps.popitem(last=False)
-
-    # -- degraded path ---------------------------------------------------
-    @staticmethod
-    def _serial_plan(matrix: CSRMatrix) -> ExecutionPlan:
-        """The always-correct degraded plan for one shard."""
-        binning = SingleBinning().bin_rows(matrix)
-        return ExecutionPlan(
-            scheme=SingleBinning(),
-            binning=binning,
-            bin_kernels={b: "serial" for b, _ in binning.non_empty()},
-            source="fallback",
-        )
+    def _shard_set_for(
+        self, matrix: CSRMatrix, digest: str
+    ) -> Tuple[Tuple[ShardDescriptor, ...], List[ExecutionPlan], bool]:
+        """Descriptors, per-shard plans and ``all_hit`` for one structure
+        (what driving a backend's ``execute`` directly needs)."""
+        descriptors, fps = self._partition(matrix, digest)
+        return (descriptors, *self._plan_shards(matrix, descriptors, fps))
 
     # -- shard workers ---------------------------------------------------
     def _run_shard(
         self,
-        index: int,
-        shard: Shard,
+        matrix: CSRMatrix,
+        descriptor: ShardDescriptor,
+        fp: MatrixFingerprint,
         plan: ExecutionPlan,
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
-        trace_ctx: Optional[TraceContext] = None,
-    ) -> _ShardOutcome:
+        trace_ctx: Optional[TraceContext],
+    ) -> _ShardContribution:
         """Execute one shard on its own device (worker-thread body).
 
         ``trace_ctx`` is the submitting request's trace, captured on
@@ -470,70 +497,47 @@ class ShardedExecutor:
         spans to the request's ``shard.execute`` stage across the
         thread boundary.
         """
-        if trace_ctx is not None:
-            d = shard.descriptor
-            with activate_trace(trace_ctx):
-                with span("shard.worker", self.registry,
-                          attrs={"shard": d.shard_id,
-                                 "rows": d.row_hi - d.row_lo}):
-                    return self._execute_shard(
-                        index, shard, plan, rhs, batch=batch, max_rhs=max_rhs
-                    )
-        return self._execute_shard(
-            index, shard, plan, rhs, batch=batch, max_rhs=max_rhs
-        )
+        if trace_ctx is None:
+            return self._execute_shard(
+                matrix, descriptor, fp, plan, rhs, max_rhs
+            )
+        with activate_trace(trace_ctx):
+            with span("shard.worker", self.registry,
+                      attrs={"shard": descriptor.shard_id,
+                             "rows": descriptor.n_rows}):
+                return self._execute_shard(
+                    matrix, descriptor, fp, plan, rhs, max_rhs
+                )
 
     def _execute_shard(
         self,
-        index: int,
-        shard: Shard,
+        matrix: CSRMatrix,
+        descriptor: ShardDescriptor,
+        fp: MatrixFingerprint,
         plan: ExecutionPlan,
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
-    ) -> _ShardOutcome:
-        device = self.devices[index % len(self.devices)]
+    ) -> _ShardContribution:
+        block = extract_row_block(matrix, descriptor.row_lo, descriptor.row_hi)
+        device = self.devices[descriptor.shard_id % len(self.devices)]
 
         def _tuned():
-            if batch:
-                return run_plan_spmm(
-                    device, shard.matrix, rhs, plan, max_rhs=max_rhs
-                )
-            return run_plan_spmv(device, shard.matrix, rhs, plan)
+            return _run_plan(device, block, rhs, plan, max_rhs)
 
         if self._resilient is None:
-            return _ShardOutcome(
-                shard=shard, result=_tuned(), attempts=1, degraded=False
-            )
-
-        fp = fingerprint_matrix(shard.matrix)
-
-        def _fallback():
-            serial = self._serial_plan(shard.matrix)
-            clean = unwrap_device(device)
-            if batch:
-                return run_plan_spmm(
-                    clean, shard.matrix, rhs, serial, max_rhs=max_rhs
-                )
-            return run_plan_spmv(clean, shard.matrix, rhs, serial)
-
-        def _finite(res) -> bool:
-            out = res.U if batch else res.u
-            return bool(np.isfinite(out).all())
-
+            return _ShardContribution.of(descriptor, _tuned())
         result, outcome = self._resilient.execute(
             fp,
             _tuned,
-            fallback=_fallback,
+            fallback=lambda: _run_plan(
+                unwrap_device(device), block, rhs, fallback_plan(block),
+                max_rhs,
+            ),
             validate=_finite,
             on_degrade=lambda cause: self.cache.invalidate(fp),
         )
-        return _ShardOutcome(
-            shard=shard,
-            result=result,
-            attempts=outcome.attempts,
-            degraded=outcome.degraded,
+        return _ShardContribution.of(
+            descriptor, result, outcome.attempts, outcome.degraded
         )
 
     # -- execution -------------------------------------------------------
@@ -547,12 +551,11 @@ class ShardedExecutor:
         """Sharded SpMV: partition, plan per shard, execute, gather.
 
         ``fingerprint`` lets a caller that already fingerprinted the
-        matrix (the server) hand the identity down; the process backend
-        keys its shared segments and shard-set cache by it.
+        matrix (the server) hand the identity down; the shard-set cache
+        (and the process backend's shared segments) key on it.
         """
         x = check_spmv_operand(matrix.ncols, x)
-        return self._run(matrix, x, batch=False, max_rhs=None,
-                         fingerprint=fingerprint)
+        return self._run(matrix, x, None, fingerprint)
 
     def run_spmm(
         self,
@@ -564,105 +567,55 @@ class ShardedExecutor:
     ) -> ShardedResult:
         """Sharded multi-RHS execution; each shard runs the whole block."""
         dense = check_spmm_operand(matrix.ncols, dense)
-        return self._run(matrix, dense, batch=True, max_rhs=max_rhs,
-                         fingerprint=fingerprint)
+        return self._run(matrix, dense, max_rhs, fingerprint)
 
     def _run(
         self,
         matrix: CSRMatrix,
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
-        fingerprint: Optional[MatrixFingerprint] = None,
+        fingerprint: Optional[MatrixFingerprint],
     ) -> ShardedResult:
+        """The body of both entry points: a vector and a block alike."""
         self._check_open()
-        if isinstance(self._backend, ProcessShardBackend):
-            return self._run_process(
-                matrix, rhs, batch=batch, max_rhs=max_rhs,
-                fingerprint=fingerprint,
-            )
-        with span("shard.partition", self.registry):
-            shards = make_shards(
-                matrix, self.policy.n_shards, self.policy.strategy
-            )
-        with span("shard.plan", self.registry):
-            plans, fps, all_hit = self._plan_shards(shards)
-        if fingerprint is not None:
-            self._record_shard_fps(fingerprint.digest, fps)
+        fp = (fingerprint if fingerprint is not None
+              else self._fingerprints.fingerprint(matrix))
+        descriptors, shard_fps = self._partition(matrix, fp.digest)
+        plans, all_hit = self._plan_shards(matrix, descriptors, shard_fps)
         with span("shard.execute", self.registry):
             # Captured inside the stage span so worker spans parent to
             # it (not to the whole request) across the thread hop.
             ctx = capture_context()
-            outcomes = self._backend.run_tasks([
-                (lambda i=i, shard=shard, plan=plan: self._run_shard(
-                    i, shard, plan, rhs,
-                    batch=batch, max_rhs=max_rhs, trace_ctx=ctx,
-                ))
-                for i, (shard, plan) in enumerate(zip(shards, plans))
-            ])
-        contributions = [
-            _ShardContribution(
-                descriptor=o.shard.descriptor,
-                y=o.result.U if batch else o.result.u,
-                seconds=o.result.seconds,
-                n_dispatches=o.result.n_dispatches,
-                attempts=o.attempts,
-                degraded=o.degraded,
-            )
-            for o in outcomes
-        ]
-        return self._finalize(
-            matrix, contributions,
-            batch=batch,
-            n_rhs=rhs.shape[1] if batch else 1,
-            all_hit=all_hit,
-        )
-
-    # -- process backend path --------------------------------------------
-    def _shard_set_for(
-        self, matrix: CSRMatrix, digest: str
-    ) -> Tuple[Tuple[ShardDescriptor, ...], Tuple[ExecutionPlan, ...], bool]:
-        """Descriptors + per-shard plans, cached per structural digest."""
-        with self._lock:
-            cached = self._shard_sets.get(digest)
-            if cached is not None:
-                self._shard_sets.move_to_end(digest)
-                return cached[0], cached[1], True
-        with span("shard.partition", self.registry):
-            shards = make_shards(
-                matrix, self.policy.n_shards, self.policy.strategy
-            )
-        with span("shard.plan", self.registry):
-            plans, fps, _ = self._plan_shards(shards)
-        self._record_shard_fps(digest, fps)
-        descriptors = tuple(s.descriptor for s in shards)
-        entry = (descriptors, tuple(plans))
-        with self._lock:
-            self._shard_sets[digest] = entry
-            while len(self._shard_sets) > _SHARD_SET_CAPACITY:
-                self._shard_sets.popitem(last=False)
-        return descriptors, entry[1], False
-
-    def _invalidate_shard_set(self, digest: str) -> None:
-        """Degradation hook: full invalidation, shard plans included."""
-        self.invalidate(digest)
+            if isinstance(self._backend, ProcessShardBackend):
+                contributions = self._run_process(
+                    matrix, fp, descriptors, plans, rhs, max_rhs, ctx
+                )
+            else:
+                contributions = self._backend.run_tasks([
+                    (lambda d=d, shard_fp=shard_fp, plan=plan:
+                        self._run_shard(matrix, d, shard_fp, plan, rhs,
+                                        max_rhs, ctx))
+                    for d, shard_fp, plan in zip(
+                        descriptors, shard_fps, plans
+                    )
+                ])
+        return self._finalize(matrix, rhs, contributions, all_hit)
 
     # -- invalidation ----------------------------------------------------
     def invalidate(self, digest: str) -> bool:
         """Drop every cached artefact derived from this parent digest.
 
         Three layers go stale together and must be dropped together:
-        the (descriptors, plans) shard-set entry, the per-shard
-        plan-cache entries it referenced, and the backend's own state
+        the (descriptors, fingerprints) shard-set entry, the per-shard
+        plan-cache entries it references, and the backend's own state
         (the process backend's pre-pickled spec blobs plus a generation
         bump that forces worker-side bound plans to rebind on the next
         dispatch).  Returns True when any cached state was dropped.
         """
         with self._lock:
-            dropped = self._shard_sets.pop(digest, None) is not None
-            fps = self._shard_fps.pop(digest, ())
-        for fp in fps:
+            entry = self._shard_sets.pop(digest, None)
+        dropped = entry is not None
+        for fp in entry[1] if entry is not None else ():
             dropped |= self.cache.invalidate(fp)
         self._backend.invalidate(digest)
         return dropped
@@ -676,73 +629,52 @@ class ShardedExecutor:
         """
         with self._lock:
             self._shard_sets.clear()
-            self._shard_fps.clear()
         self.cache.clear()
         self._fingerprints.clear()
         self._backend.invalidate_all()
 
+    # -- process backend path --------------------------------------------
     def _run_process(
         self,
         matrix: CSRMatrix,
+        fp: MatrixFingerprint,
+        descriptors: Sequence[ShardDescriptor],
+        plans: Sequence[ExecutionPlan],
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
-        fingerprint: Optional[MatrixFingerprint],
-    ) -> ShardedResult:
+        ctx: Optional[TraceContext],
+    ) -> List[_ShardContribution]:
         backend: ProcessShardBackend = self._backend
-        fp = (fingerprint if fingerprint is not None
-              else self._fingerprints.fingerprint(matrix))
-        descriptors, plans, all_hit = self._shard_set_for(matrix, fp.digest)
-        with span("shard.execute", self.registry):
-            ctx = capture_context()
-            trace_ref = (
-                (ctx.trace_id, ctx.span_id) if ctx is not None
-                else (None, None)
-            )
-            try:
-                reports = backend.execute(
-                    matrix, fp.digest, descriptors, plans, rhs,
-                    batch=batch, max_rhs=max_rhs, trace_ref=trace_ref,
-                )
-            except WorkerCrashError:
-                # Dead worker == shard fault: every shard of the broken
-                # dispatch re-drives through the resilience path (remote
-                # retry on the healed pool, serial parent-side fallback).
-                contributions = [
-                    self._process_shard_fault(
-                        matrix, fp, d, plan, rhs,
-                        batch=batch, max_rhs=max_rhs, trace_ref=trace_ref,
-                    )
-                    for d, plan in zip(descriptors, plans)
-                ]
-            else:
-                if ctx is not None:
-                    for r in reports:
-                        trace_event(
-                            "shard.worker", r.wall_start, r.wall_end,
-                            attrs={"shard": r.shard_id,
-                                   "rows": r.row_hi - r.row_lo,
-                                   "backend": "process",
-                                   "pid": r.pid},
-                        )
-                contributions = [
-                    _ShardContribution(
-                        descriptor=d,
-                        y=r.y,
-                        seconds=r.seconds,
-                        n_dispatches=r.n_dispatches,
-                        attempts=1,
-                        degraded=False,
-                    )
-                    for d, r in zip(descriptors, reports)
-                ]
-        return self._finalize(
-            matrix, contributions,
-            batch=batch,
-            n_rhs=rhs.shape[1] if batch else 1,
-            all_hit=all_hit,
+        trace_ref = (
+            (ctx.trace_id, ctx.span_id) if ctx is not None else (None, None)
         )
+        try:
+            reports = backend.execute(
+                matrix, fp.digest, descriptors, plans, rhs,
+                batch=rhs.ndim == 2, max_rhs=max_rhs, trace_ref=trace_ref,
+            )
+        except WorkerCrashError:
+            # Dead worker == shard fault: every shard of the broken
+            # dispatch re-drives through the resilience path (remote
+            # retry on the healed pool, serial parent-side fallback).
+            return [
+                self._process_shard_fault(
+                    matrix, fp, d, plan, rhs, max_rhs, trace_ref
+                )
+                for d, plan in zip(descriptors, plans)
+            ]
+        if ctx is not None:
+            for r in reports:
+                trace_event(
+                    "shard.worker", r.wall_start, r.wall_end,
+                    attrs={"shard": r.shard_id,
+                           "rows": r.row_hi - r.row_lo,
+                           "backend": "process",
+                           "pid": r.pid},
+                )
+        return [
+            _ShardContribution.of(d, r) for d, r in zip(descriptors, reports)
+        ]
 
     def _process_shard_fault(
         self,
@@ -751,8 +683,6 @@ class ShardedExecutor:
         descriptor: ShardDescriptor,
         plan: ExecutionPlan,
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
         trace_ref,
     ) -> _ShardContribution:
@@ -762,74 +692,53 @@ class ShardedExecutor:
         pool -- a transient crash heals with a correct result and no
         degradation.  The *fallback* is the parent-side serial
         reference path over a fresh row-block of the current matrix.
-        Both normalise to ``(y, seconds, n_dispatches)`` so the
-        resilience validator sees one shape.
         """
         backend: ProcessShardBackend = self._backend
 
         def _attempt():
-            r = backend.execute_single(
+            return backend.execute_single(
                 matrix, fp.digest, descriptor, plan, rhs,
-                batch=batch, max_rhs=max_rhs, trace_ref=trace_ref,
+                batch=rhs.ndim == 2, max_rhs=max_rhs, trace_ref=trace_ref,
             )
-            return (r.y, r.seconds, r.n_dispatches)
 
         def _fallback():
             sub = extract_row_block(
                 matrix, descriptor.row_lo, descriptor.row_hi
             )
-            serial = self._serial_plan(sub)
             clean = unwrap_device(
                 self.devices[descriptor.shard_id % len(self.devices)]
             )
-            if batch:
-                res = run_plan_spmm(clean, sub, rhs, serial,
-                                    max_rhs=max_rhs)
-                return (res.U, res.seconds, res.n_dispatches)
-            res = run_plan_spmv(clean, sub, rhs, serial)
-            return (res.u, res.seconds, res.n_dispatches)
+            return _run_plan(clean, sub, rhs, fallback_plan(sub), max_rhs)
 
         if self._resilient is None:
             try:
-                y, seconds, n_disp = _attempt()
-                return _ShardContribution(
-                    descriptor, y=y, seconds=seconds,
-                    n_dispatches=n_disp, attempts=1, degraded=False,
-                )
+                return _ShardContribution.of(descriptor, _attempt())
             except WorkerCrashError:
-                y, seconds, n_disp = _fallback()
-                return _ShardContribution(
-                    descriptor, y=y, seconds=seconds,
-                    n_dispatches=n_disp, attempts=1, degraded=True,
+                return _ShardContribution.of(
+                    descriptor, _fallback(), degraded=True
                 )
 
-        key = (fp.digest, descriptor.shard_id)
         result, outcome = self._resilient.execute(
-            key,
+            (fp.digest, descriptor.shard_id),
             _attempt,
             fallback=_fallback,
-            validate=lambda t: bool(np.isfinite(t[0]).all()),
-            on_degrade=lambda cause: self._invalidate_shard_set(fp.digest),
+            validate=_finite,
+            on_degrade=lambda cause: self.invalidate(fp.digest),
         )
-        y, seconds, n_disp = result
-        return _ShardContribution(
-            descriptor, y=y, seconds=seconds, n_dispatches=n_disp,
-            attempts=outcome.attempts, degraded=outcome.degraded,
+        return _ShardContribution.of(
+            descriptor, result, outcome.attempts, outcome.degraded
         )
 
     # -- gather + accounting ---------------------------------------------
     def _finalize(
         self,
         matrix: CSRMatrix,
+        rhs: np.ndarray,
         contributions: Sequence[_ShardContribution],
-        *,
-        batch: bool,
-        n_rhs: int,
         all_hit: bool,
     ) -> ShardedResult:
         with span("shard.gather", self.registry) as sp_gather:
-            shape = (matrix.nrows, n_rhs) if batch else (matrix.nrows,)
-            y = np.zeros(shape)
+            y = np.zeros((matrix.nrows,) + rhs.shape[1:])
             for c in contributions:
                 y[c.descriptor.row_lo : c.descriptor.row_hi] = c.y
         shard_seconds = tuple(c.seconds for c in contributions)
@@ -854,7 +763,7 @@ class ShardedExecutor:
             n_dispatches=sum(c.n_dispatches for c in contributions),
             cache_hit=all_hit,
             attempts=sum(c.attempts for c in contributions),
-            n_rhs=n_rhs,
+            n_rhs=rhs.shape[1] if rhs.ndim == 2 else 1,
             summary=summary,
         )
 

@@ -25,7 +25,6 @@ __all__ = [
     "inclusive_scan",
     "segment_ids_from_offsets",
     "segmented_sum",
-    "segmented_sum_2d",
     "segmented_max",
     "segmented_reduce_tree",
 ]
@@ -86,13 +85,22 @@ def segment_ids_from_offsets(offsets: np.ndarray, total: int | None = None) -> n
 
 
 def segmented_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums for CSR-style ``offsets`` (empty segments -> 0)."""
-    values = check_1d(values, "values")
+    """Per-segment sums along axis 0 for CSR-style ``offsets``.
+
+    ``values`` is 1-D or an ``(n, k)`` block; the result has one entry
+    (or one row) per segment, zero for empty segments.  Column ``j`` of
+    a block result is exactly ``segmented_sum(values[:, j], offsets)``
+    -- ``reduceat`` adds the same elements in the same order whether it
+    walks a 1-D column or axis 0 of the block, so batched SpMV stays
+    bit-identical to ``k`` independent single-vector passes.
+    """
+    values = np.asarray(values)
     offsets = check_1d(offsets, "offsets")
     nseg = len(offsets) - 1
     if nseg <= 0:
-        return np.zeros(0, dtype=values.dtype)
-    out = np.zeros(nseg, dtype=np.result_type(values.dtype, np.float64)
+        return np.zeros((0,) + values.shape[1:], dtype=values.dtype)
+    out = np.zeros((nseg,) + values.shape[1:],
+                   dtype=np.result_type(values.dtype, np.float64)
                    if values.dtype.kind == "f" else values.dtype)
     starts = np.asarray(offsets[:-1], dtype=np.int64)
     ends = np.asarray(offsets[1:], dtype=np.int64)
@@ -101,36 +109,6 @@ def segmented_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         return out
     # ``reduceat`` misbehaves on empty segments (repeats the next value),
     # so reduce only the non-empty ones and scatter back.
-    red = np.add.reduceat(values, starts[nonempty])
-    out[nonempty] = red
-    return out
-
-
-def segmented_sum_2d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Row-segment sums of a 2-D array (empty segments -> zero rows).
-
-    ``values`` has shape ``(n, k)``; segment boundaries along axis 0 come
-    from CSR-style ``offsets``.  Column ``j`` of the result is exactly
-    ``segmented_sum(values[:, j], offsets)`` -- ``reduceat`` adds the
-    same elements in the same order whether it walks a 1-D column or
-    axis 0 of the 2-D block, so the batched SpMV path stays bit-identical
-    to ``k`` independent single-vector passes.
-    """
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"values must be 2-D, got ndim={values.ndim}")
-    offsets = check_1d(offsets, "offsets")
-    nseg = len(offsets) - 1
-    k = values.shape[1]
-    if nseg <= 0:
-        return np.zeros((0, k), dtype=values.dtype)
-    out = np.zeros((nseg, k), dtype=np.result_type(values.dtype, np.float64)
-                   if values.dtype.kind == "f" else values.dtype)
-    starts = np.asarray(offsets[:-1], dtype=np.int64)
-    ends = np.asarray(offsets[1:], dtype=np.int64)
-    nonempty = ends > starts
-    if not np.any(nonempty) or k == 0:
-        return out
     out[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
     return out
 

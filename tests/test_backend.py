@@ -189,6 +189,23 @@ class TestProcessDifferential:
         assert np.array_equal(got.y, ref.y)
         assert got.seconds == ref.seconds
 
+    @pytest.mark.parametrize("backend", [None, "inline", "thread", "process"])
+    def test_submit_is_submit_batch_with_one_column(self, backend):
+        # SpMV is SpMM with k=1: a vector and the same vector as a
+        # one-column block share one execution body end to end.
+        matrix = dict(FAMILIES)["power_law_rows"]
+        x = make_rhs(matrix, seed=5)
+        sharding = (None if backend is None
+                    else ShardingPolicy(n_shards=3, backend=backend))
+        with SpMVServer(sharding=sharding, registry=NULL_REGISTRY) as server:
+            for _ in range(2):  # cold, then warm plans
+                single = server.submit(matrix, x)
+                batch = server.submit_batch(matrix, x[:, None])
+                assert batch.y.shape == (matrix.nrows, 1)
+                assert np.array_equal(single.y, batch.y.ravel())
+                assert single.seconds == batch.seconds
+                assert single.n_dispatches == batch.n_dispatches
+
     def test_warm_request_hits_shard_set_cache(self, pools):
         matrix = dict(FAMILIES)["uniform_small"]
         x = make_rhs(matrix, seed=1)

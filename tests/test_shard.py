@@ -318,6 +318,72 @@ class TestShardedExecutorBehaviour:
             assert ex.stats().degraded_shards == 1
             assert ex.resilience_stats() is not None
 
+    @pytest.mark.parametrize("resilient", [False, True])
+    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    def test_warm_requests_redo_no_structure_work(self, monkeypatch,
+                                                  backend, resilient):
+        # Partitioning, shard features and shard hashing depend on the
+        # structure alone: once it is known, a request only takes
+        # row-block views of the matrix it was handed.
+        import repro.core.framework as framework
+        import repro.serve.fingerprint as fingerprint
+        import repro.shard.executor as executor
+        import repro.shard.partition as partition
+
+        calls = {"make_shards": 0, "extract_features": 0,
+                 "fingerprint_matrix": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(executor, "make_shards")
+        counted(partition, "extract_features")
+        counted(framework, "extract_features")
+        counted(executor, "fingerprint_matrix")
+        counted(fingerprint, "fingerprint_matrix")
+        m = gen.power_law_graph(500, seed=12)
+        x = make_rhs(m, 13)
+        X = make_rhs_block(m, 3, 14)
+        with SpMVServer(
+            sharding=ShardingPolicy(n_shards=3, backend=backend),
+            resilience=ResiliencePolicy() if resilient else None,
+            registry=NULL_REGISTRY,
+        ) as server:
+            server.submit(m, x)
+            server.submit_batch(m, X)
+            calls.update(dict.fromkeys(calls, 0))
+            for _ in range(3):
+                res = server.submit(m, x)
+                server.submit_batch(m, X)
+            assert calls == dict.fromkeys(calls, 0)
+            assert res.cache_hit
+            np.testing.assert_allclose(res.y, m @ x, rtol=RTOL, atol=ATOL)
+
+            m.val[:] *= -2.0  # in-place value update: same object
+            res = server.submit(m, x)
+            np.testing.assert_allclose(res.y, m @ x, rtol=RTOL, atol=ATOL)
+            assert calls == dict.fromkeys(calls, 0)
+
+            # A new object with the same structure is hashed once, as a
+            # whole, by the server; the shard set is reused.
+            clone = CSRMatrix(m.rowptr.copy(), m.colidx.copy(),
+                              m.val * 0.5, m.shape)
+            res = server.submit(clone, x)
+            np.testing.assert_allclose(res.y, clone @ x, rtol=RTOL,
+                                       atol=ATOL)
+            batch = server.submit_batch(clone, X)
+            np.testing.assert_allclose(batch.y, clone @ X, rtol=RTOL,
+                                       atol=ATOL)
+            assert res.cache_hit and batch.cache_hit
+            assert calls == {"make_shards": 0, "extract_features": 0,
+                             "fingerprint_matrix": 1}
+
     def test_use_after_close_raises(self):
         ex = ShardedExecutor(registry=NULL_REGISTRY)
         ex.close()
